@@ -5,8 +5,12 @@
 // and SHA-1 (the hash whose 5 527-gate implementation [12] anchors the
 // implementation-size argument of Section 4).
 //
-// The implementations favour clarity and testability over speed; they
-// are cross-checked against crypto/aes and crypto/sha1 in the tests.
+// AES encryption is word-oriented and table-driven, because every
+// DRBG in the simulator (mask refresh, RPC and TRNG draws, link fault
+// streams, protocol keys and nonces) runs on it; it is not cache-timing
+// constant-time (see te0). Decryption, SHA-1 and PRESENT favour clarity
+// over speed. Everything is cross-checked against crypto/aes and
+// crypto/sha1 in the tests.
 // Gate-count and energy figures for these primitives live in
 // internal/area and internal/radio, where the protocol-level energy
 // trade-off experiments (E6, E7) consume them.
@@ -75,17 +79,34 @@ func gmul(a, b byte) byte {
 	return r
 }
 
-// mul2 and mul3 tabulate gmul(·, 2) and gmul(·, 3): MixColumns is on
-// the DRBG hot path (every campaign trace rekeys and runs several AES
-// blocks), and a table lookup replaces the eight-iteration shift-and-
-// add loop per coefficient. Filled at init from gmul itself, so the
-// values cannot drift from the definitional multiply.
+// mul2 and mul3 tabulate gmul(·, 2) and gmul(·, 3), filled at init
+// from gmul itself so the values cannot drift from the definitional
+// multiply. They are the MixColumns coefficients the encryption
+// tables below are built from.
 var mul2, mul3 [256]byte
+
+// te0..te3 fuse one column's SubBytes and MixColumns: te0[x] is the
+// MixColumns column (2,1,1,3) scaled by sbox[x], packed big-endian, and
+// te1..te3 are te0 rotated right by 8, 16 and 24 bits for the state
+// rows that ShiftRows brings into the column. A full round is then 16
+// lookups and 16 XORs on four words. The lookups are secret-indexed, so
+// this cipher is not cache-timing constant-time; it is a simulator
+// substrate, and the modelled chip's AES is priced in internal/area and
+// internal/radio, not by this code's timing.
+var te0, te1, te2, te3 [256]uint32
 
 func init() {
 	for i := 0; i < 256; i++ {
 		mul2[i] = gmul(byte(i), 2)
 		mul3[i] = gmul(byte(i), 3)
+	}
+	for i := 0; i < 256; i++ {
+		s := sbox[i]
+		w := uint32(mul2[s])<<24 | uint32(s)<<16 | uint32(s)<<8 | uint32(mul3[s])
+		te0[i] = w
+		te1[i] = w>>8 | w<<24
+		te2[i] = w>>16 | w<<16
+		te3[i] = w>>24 | w<<8
 	}
 }
 
@@ -150,19 +171,6 @@ func (s *state) subBytes(box *[256]byte) {
 	}
 }
 
-func (s *state) shiftRows() {
-	// Row r (bytes r, r+4, r+8, r+12) rotates left by r.
-	for r := 1; r < 4; r++ {
-		var row [4]byte
-		for c := 0; c < 4; c++ {
-			row[c] = s[4*((c+r)%4)+r]
-		}
-		for c := 0; c < 4; c++ {
-			s[4*c+r] = row[c]
-		}
-	}
-}
-
 func (s *state) invShiftRows() {
 	for r := 1; r < 4; r++ {
 		var row [4]byte
@@ -172,16 +180,6 @@ func (s *state) invShiftRows() {
 		for c := 0; c < 4; c++ {
 			s[4*c+r] = row[c]
 		}
-	}
-}
-
-func (s *state) mixColumns() {
-	for c := 0; c < 4; c++ {
-		a0, a1, a2, a3 := s[4*c], s[4*c+1], s[4*c+2], s[4*c+3]
-		s[4*c+0] = mul2[a0] ^ mul3[a1] ^ a2 ^ a3
-		s[4*c+1] = a0 ^ mul2[a1] ^ mul3[a2] ^ a3
-		s[4*c+2] = a0 ^ a1 ^ mul2[a2] ^ mul3[a3]
-		s[4*c+3] = mul3[a0] ^ a1 ^ a2 ^ mul2[a3]
 	}
 }
 
@@ -196,24 +194,30 @@ func (s *state) invMixColumns() {
 }
 
 // Encrypt encrypts one 16-byte block: dst = AES-128(src). dst and src
-// may overlap.
+// may overlap. The state is held as four big-endian column words and
+// each of the nine full rounds is one table lookup per byte.
 func (a *AES) Encrypt(dst, src []byte) {
 	if len(src) < AESBlockSize || len(dst) < AESBlockSize {
 		panic("lightcrypto: short AES block")
 	}
-	var s state
-	copy(s[:], src[:16])
-	s.addRoundKey(a.rk[0:4])
-	for round := 1; round < 10; round++ {
-		s.subBytes(&sbox)
-		s.shiftRows()
-		s.mixColumns()
-		s.addRoundKey(a.rk[4*round : 4*round+4])
+	rk := &a.rk
+	s0 := binary.BigEndian.Uint32(src[0:4]) ^ rk[0]
+	s1 := binary.BigEndian.Uint32(src[4:8]) ^ rk[1]
+	s2 := binary.BigEndian.Uint32(src[8:12]) ^ rk[2]
+	s3 := binary.BigEndian.Uint32(src[12:16]) ^ rk[3]
+	for k := 4; k < 40; k += 4 {
+		t0 := rk[k] ^ te0[uint8(s0>>24)] ^ te1[uint8(s1>>16)] ^ te2[uint8(s2>>8)] ^ te3[uint8(s3)]
+		t1 := rk[k+1] ^ te0[uint8(s1>>24)] ^ te1[uint8(s2>>16)] ^ te2[uint8(s3>>8)] ^ te3[uint8(s0)]
+		t2 := rk[k+2] ^ te0[uint8(s2>>24)] ^ te1[uint8(s3>>16)] ^ te2[uint8(s0>>8)] ^ te3[uint8(s1)]
+		t3 := rk[k+3] ^ te0[uint8(s3>>24)] ^ te1[uint8(s0>>16)] ^ te2[uint8(s1>>8)] ^ te3[uint8(s2)]
+		s0, s1, s2, s3 = t0, t1, t2, t3
 	}
-	s.subBytes(&sbox)
-	s.shiftRows()
-	s.addRoundKey(a.rk[40:44])
-	copy(dst[:16], s[:])
+	// Last round: ShiftRows brings row r of output column c from input
+	// column c+r, then SubBytes and the final round key.
+	binary.BigEndian.PutUint32(dst[0:4], subWord(s0&0xff000000|s1&0xff0000|s2&0xff00|s3&0xff)^rk[40])
+	binary.BigEndian.PutUint32(dst[4:8], subWord(s1&0xff000000|s2&0xff0000|s3&0xff00|s0&0xff)^rk[41])
+	binary.BigEndian.PutUint32(dst[8:12], subWord(s2&0xff000000|s3&0xff0000|s0&0xff00|s1&0xff)^rk[42])
+	binary.BigEndian.PutUint32(dst[12:16], subWord(s3&0xff000000|s0&0xff0000|s1&0xff00|s2&0xff)^rk[43])
 }
 
 // Decrypt decrypts one 16-byte block.

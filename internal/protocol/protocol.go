@@ -61,10 +61,14 @@ func (s *SoftwareMultiplier) XOnlyMul(k modn.Scalar, p ec.Point) (gf2m.Element, 
 
 // ReaderMultiplier is the energy-rich verifier's scalar
 // multiplication: τNAF on Koblitz curves (Frobenius instead of
-// doublings), projective double-and-add otherwise. Roughly 2-4x
-// faster than the protected ladder and NOT constant time — reader
-// side only, never on a tag (the asymmetry rule of §4 cuts both
-// ways: the reader may spend speed tricks the tag must not).
+// doublings), projective double-and-add otherwise. It is NOT constant
+// time — reader side only, never on a tag (the asymmetry rule of §4
+// cuts both ways: the reader may spend speed tricks the tag must not).
+// In this software model it is also not faster: on K-163 (2.1 GHz
+// Xeon) BenchmarkScalarMulTNAF takes about 1.65 ms against about
+// 0.45-0.55 ms for BenchmarkScalarMulLadderRPC, roughly 3x slower,
+// because each of τNAF's ~109 point additions is affine and pays one
+// field inversion (about 12.5 µs each, ~80% of the total).
 type ReaderMultiplier struct {
 	Curve *ec.Curve
 }
