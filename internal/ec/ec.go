@@ -14,7 +14,10 @@
 //   - randomized projective coordinates (DPA).
 //
 // A deliberately leaky double-and-add baseline is included for the
-// timing-attack experiment (E3).
+// timing-attack experiment (E3). The simulated protocol parties compute
+// with ScalarMulVartime (vartime.go): exact and equal to the ladder on
+// every input, but variable time, since the modelled chip's ladder is
+// priced from its own measurement.
 package ec
 
 import (
@@ -272,17 +275,23 @@ func randNonZero(src func() uint64) gf2m.Element {
 	}
 }
 
+// rpcDraws returns the ladder's projective randomization (λ, µ): two
+// nonzero draws from opt.Rand, or the fixed values when Rand is nil.
+// The ladder and the variable-time path both draw through here, so a
+// source shared with later protocol draws stands at the same position
+// whichever path ran.
+func rpcDraws(opt LadderOptions) (lambda, mu gf2m.Element) {
+	if opt.Rand != nil {
+		lambda = randNonZero(opt.Rand)
+		return lambda, randNonZero(opt.Rand)
+	}
+	return opt.FixedLambda, opt.FixedMu
+}
+
 // ladderX runs the complete x-only ladder over all 163 bit positions
 // and returns the final projective state.
 func (c *Curve) ladderX(k modn.Scalar, x gf2m.Element, opt LadderOptions) LadderState {
-	var lambda, mu gf2m.Element
-	switch {
-	case opt.Rand != nil:
-		lambda = randNonZero(opt.Rand)
-		mu = randNonZero(opt.Rand)
-	default:
-		lambda, mu = opt.FixedLambda, opt.FixedMu
-	}
+	lambda, mu := rpcDraws(opt)
 	s := NewLadderState(x, lambda, mu)
 	for i := LadderBits - 1; i >= 0; i-- {
 		s.Step(k.Bit(i), x, c.B)

@@ -45,12 +45,16 @@ func TestGoldenScalarMul(t *testing.T) {
 		if !da.Equal(ladder) {
 			t.Fatal("double-and-add disagrees with golden")
 		}
-		tnaf, err := c.ScalarMulTNAF(k, c.Generator())
+		fixed, err := c.ScalarMulVartime(k, c.Generator(), LadderOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if !fixed.Equal(ladder) {
+			t.Fatal("fixed-base route disagrees with golden")
+		}
+		tnaf := c.mulTNAF(lookupFast(c).tnaf, k, c.Generator()).ToAffine()
 		if !tnaf.Equal(ladder) {
-			t.Fatal("TNAF disagrees with golden")
+			t.Fatal("τNAF route disagrees with golden")
 		}
 		checked++
 	}

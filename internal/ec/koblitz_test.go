@@ -1,6 +1,7 @@
 package ec
 
 import (
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -99,7 +100,7 @@ func TestScalarMulTNAFMatchesLadder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.ScalarMulTNAF(k, p)
+		got, err := c.ScalarMulVartime(k, p, LadderOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,22 +108,113 @@ func TestScalarMulTNAFMatchesLadder(t *testing.T) {
 			t.Fatalf("TNAF scalar mult wrong for k=%v", k)
 		}
 	}
-	// Small cases including k = 0.
+	// Small cases including k = 0, on the τNAF route directly (the
+	// generator itself takes the fixed-base route).
 	g := c.Generator()
+	tc := lookupFast(c).tnaf
 	for k := uint64(0); k <= 10; k++ {
-		got, err := c.ScalarMulTNAF(modn.FromUint64(k), g)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := c.mulTNAF(tc, modn.FromUint64(k), g).ToAffine()
 		if !got.Equal(c.ScalarMulDoubleAndAdd(modn.FromUint64(k), g)) {
 			t.Fatalf("TNAF wrong for k=%d", k)
 		}
 	}
 }
 
-func TestScalarMulTNAFRejectsNonKoblitz(t *testing.T) {
-	if _, err := B163().ScalarMulTNAF(modn.One(), B163().Generator()); err == nil {
-		t.Fatal("TNAF on B-163 accepted")
+// tnafReference is Solinas' recoding in math/big, the independent
+// oracle of the fixed-width recoder.
+func tnafReference(k modn.Scalar, mu int) []int8 {
+	r0 := new(big.Int)
+	for i := modn.Words - 1; i >= 0; i-- {
+		r0.Lsh(r0, 64)
+		r0.Or(r0, new(big.Int).SetUint64(k[i]))
+	}
+	r1 := new(big.Int)
+	var digits []int8
+	tmp := new(big.Int)
+	for r0.Sign() != 0 || r1.Sign() != 0 {
+		var u int8
+		if r0.Bit(0) == 1 {
+			tmp.Lsh(r1, 1)
+			tmp.Sub(r0, tmp)
+			tmp.Mod(tmp, big.NewInt(4))
+			u = int8(2 - tmp.Int64())
+			r0.Sub(r0, big.NewInt(int64(u)))
+		}
+		digits = append(digits, u)
+		half := new(big.Int).Rsh(r0, 1)
+		next := new(big.Int)
+		if mu == 1 {
+			next.Add(r1, half)
+		} else {
+			next.Sub(r1, half)
+		}
+		r1 = new(big.Int).Neg(half)
+		r0 = next
+	}
+	return digits
+}
+
+func TestTNAFMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	check := func(k modn.Scalar, mu int) {
+		got, want := TNAF(k, mu), tnafReference(k, mu)
+		if len(got) != len(want) {
+			t.Fatalf("k=%v mu=%d: %d digits, reference %d", k, mu, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("k=%v mu=%d: digit %d is %d, reference %d", k, mu, i, got[i], want[i])
+			}
+		}
+	}
+	for _, mu := range []int{1, -1} {
+		for k := uint64(0); k < 64; k++ {
+			check(modn.FromUint64(k), mu)
+		}
+		for i := 0; i < 50; i++ {
+			k := modn.Scalar{r.Uint64(), r.Uint64(), r.Uint64() >> 3}
+			check(k, mu)
+		}
+		check(modn.Scalar{^uint64(0), ^uint64(0), 1<<61 - 1}, mu) // 2^189 − 1
+	}
+}
+
+// TestReducedTNAFLength pins the point of partial reduction: the τNAF
+// of k partmod δ has about m digits, a third of them nonzero, against
+// ~2·163 digits unreduced. Solinas' rounding keeps N(ρ) < 4n/7, and a
+// τNAF is at most log2 N(ρ) + 3 digits long, so no expansion exceeds
+// 164 digits; a rounding that misses the nearest lattice point shows
+// up as longer expansions.
+func TestReducedTNAFLength(t *testing.T) {
+	c := K163()
+	tc := lookupFast(c).tnaf
+	r := rand.New(rand.NewSource(6))
+	var digits [tnafMaxDigits]int8
+	total, weight := 0, 0
+	const trials = 2000
+	for i := 0; i < trials; i++ {
+		k := c.Order.Rand(r.Uint64)
+		n := tc.recode(k, digits[:])
+		if n > 164 {
+			t.Fatalf("k=%v: reduced τNAF has %d digits, bound 164", k, n)
+		}
+		if !TNAFIsValid(digits[:n]) {
+			t.Fatal("reduced τNAF has adjacent nonzero digits")
+		}
+		total += n
+		weight += TNAFWeight(digits[:n])
+	}
+	if mean := float64(total) / trials; mean < 159 || mean > 162 {
+		t.Fatalf("mean reduced length %.1f digits, want about 161", mean)
+	}
+	if mean := float64(weight) / trials; mean < 53 || mean > 56 {
+		t.Fatalf("mean reduced weight %.1f, want about 54.5", mean)
+	}
+	// The extreme scalars reduce too.
+	for _, k := range []modn.Scalar{modn.Zero(), modn.One(), c.Order.Sub(modn.Zero(), modn.One())} {
+		if n := tc.recode(k, digits[:]); n > 164 {
+			t.Fatalf("k=%v: %d digits", k, n)
+		}
 	}
 }
 
@@ -146,15 +238,33 @@ func TestTNAFAdditionCountBeatsDoubleAndAdd(t *testing.T) {
 	}
 }
 
+// BenchmarkScalarMulTNAF measures the τNAF route of ScalarMulVartime
+// (K-163, a subgroup point other than G), RPC draws included.
 func BenchmarkScalarMulTNAF(b *testing.B) {
 	c := K163()
 	r := rand.New(rand.NewSource(1))
 	k := c.Order.RandNonZero(r.Uint64)
-	g := c.Generator()
+	p := c.RandomPoint(r.Uint64)
+	opt := LadderOptions{Rand: r.Uint64}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.ScalarMulTNAF(k, g); err != nil {
+		if _, err := c.ScalarMulVartime(k, p, opt); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkXOnlyScalarMulTNAF is the x-only form of the same route.
+func BenchmarkXOnlyScalarMulTNAF(b *testing.B) {
+	c := K163()
+	r := rand.New(rand.NewSource(1))
+	k := c.Order.RandNonZero(r.Uint64)
+	p := c.RandomPoint(r.Uint64)
+	opt := LadderOptions{Rand: r.Uint64}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := c.XOnlyScalarMulVartime(k, p, opt); !ok {
+			b.Fatal("unexpected infinity")
 		}
 	}
 }

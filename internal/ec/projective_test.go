@@ -112,32 +112,6 @@ func TestProjAddMixedMatchesAffine(t *testing.T) {
 	}
 }
 
-func TestScalarMulProjectiveMatchesLadder(t *testing.T) {
-	c := K163()
-	r := rand.New(rand.NewSource(4))
-	for i := 0; i < 8; i++ {
-		k := c.Order.RandNonZero(r.Uint64)
-		p := c.RandomPoint(r.Uint64)
-		want, err := c.ScalarMulLadder(k, p, LadderOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := c.ScalarMulProjective(k, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("projective scalar mult wrong for k=%v", k)
-		}
-	}
-	if q, err := c.ScalarMulProjective(modn.Zero(), c.Generator()); err != nil || !q.Inf {
-		t.Fatal("0*P != O")
-	}
-	if q, err := c.ScalarMulProjective(modn.One(), Infinity()); err != nil || !q.Inf {
-		t.Fatal("k*O != O")
-	}
-}
-
 func TestQuickProjectiveRepresentativeInvariance(t *testing.T) {
 	c := K163()
 	g := c.Generator()
@@ -153,7 +127,7 @@ func TestQuickProjectiveRepresentativeInvariance(t *testing.T) {
 		if !d1.Equal(d2) {
 			return false
 		}
-		s, err := c.ScalarMulProjective(modn.FromUint64(uint64(k)), g)
+		s, err := c.ScalarMulVartime(modn.FromUint64(uint64(k)), g, LadderOptions{})
 		if err != nil {
 			return false
 		}
@@ -164,14 +138,17 @@ func TestQuickProjectiveRepresentativeInvariance(t *testing.T) {
 	}
 }
 
-func BenchmarkScalarMulProjective(b *testing.B) {
+// BenchmarkScalarMulFixedBase measures the generator route of
+// ScalarMulVartime (fixed-window table), RPC draws included.
+func BenchmarkScalarMulFixedBase(b *testing.B) {
 	c := K163()
 	r := rand.New(rand.NewSource(1))
 	k := c.Order.RandNonZero(r.Uint64)
 	g := c.Generator()
+	opt := LadderOptions{Rand: r.Uint64}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.ScalarMulProjective(k, g); err != nil {
+		if _, err := c.ScalarMulVartime(k, g, opt); err != nil {
 			b.Fatal(err)
 		}
 	}

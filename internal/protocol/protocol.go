@@ -38,8 +38,20 @@ type PointMultiplier interface {
 	XOnlyMul(k modn.Scalar, p ec.Point) (gf2m.Element, error)
 }
 
-// SoftwareMultiplier runs the protected ladder in software with
-// randomized projective coordinates.
+// SoftwareMultiplier is the functional multiplier of the simulated
+// parties: ec.ScalarMulVartime, exact but not constant time. On the
+// generator it takes a fixed-window table (about 120-180 µs per
+// product), on other K-163 subgroup points a τNAF with López–Dahab
+// mixed additions (about 220-300 µs), and the constant-time ladder
+// with randomized projective coordinates everywhere else, notably
+// B-163 variable base (about 400-700 µs); BenchmarkScalarMulFixedBase,
+// BenchmarkScalarMulTNAF and BenchmarkScalarMulLadderRPC in
+// internal/ec, 2.1 GHz Xeon. Results and errors equal the ladder's on
+// every input. The ladder's two RPC draws are consumed from Rand on
+// every route only so that the stream — and every nonce, challenge
+// and link draw after it — stays where the ladder would leave it; the
+// modelled chip's constant-time ladder is priced separately from its
+// own measurement.
 type SoftwareMultiplier struct {
 	Curve *ec.Curve
 	Rand  func() uint64
@@ -47,12 +59,16 @@ type SoftwareMultiplier struct {
 
 // ScalarMul implements PointMultiplier.
 func (s *SoftwareMultiplier) ScalarMul(k modn.Scalar, p ec.Point) (ec.Point, error) {
-	return s.Curve.ScalarMulLadder(k, p, ec.LadderOptions{Rand: s.Rand})
+	return s.Curve.ScalarMulVartime(k, p, ec.LadderOptions{Rand: s.Rand})
 }
 
 // XOnlyMul implements PointMultiplier.
 func (s *SoftwareMultiplier) XOnlyMul(k modn.Scalar, p ec.Point) (gf2m.Element, error) {
-	x, ok := s.Curve.XOnlyScalarMul(k, p.X, ec.LadderOptions{Rand: s.Rand})
+	return xOnly(s.Curve, k, p, ec.LadderOptions{Rand: s.Rand})
+}
+
+func xOnly(c *ec.Curve, k modn.Scalar, p ec.Point, opt ec.LadderOptions) (gf2m.Element, error) {
+	x, ok := c.XOnlyScalarMulVartime(k, p, opt)
 	if !ok {
 		return gf2m.Element{}, errors.New("protocol: x-only result is the point at infinity")
 	}
@@ -60,37 +76,24 @@ func (s *SoftwareMultiplier) XOnlyMul(k modn.Scalar, p ec.Point) (gf2m.Element, 
 }
 
 // ReaderMultiplier is the energy-rich verifier's scalar
-// multiplication: τNAF on Koblitz curves (Frobenius instead of
-// doublings), projective double-and-add otherwise. It is NOT constant
-// time — reader side only, never on a tag (the asymmetry rule of §4
-// cuts both ways: the reader may spend speed tricks the tag must not).
-// In this software model it is also not faster: on K-163 (2.1 GHz
-// Xeon) BenchmarkScalarMulTNAF takes about 1.65 ms against about
-// 0.45-0.55 ms for BenchmarkScalarMulLadderRPC, roughly 3x slower,
-// because each of τNAF's ~109 point additions is affine and pays one
-// field inversion (about 12.5 µs each, ~80% of the total).
+// multiplication: the same exact, variable-time routes and speeds as
+// SoftwareMultiplier (about 120-180 µs on G, 220-300 µs on other
+// K-163 points) with no randomness drawn (the ladder route runs
+// without projective randomization). It is NOT constant time — reader
+// side only, never on a tag (the asymmetry rule of §4 cuts both ways:
+// the reader may spend speed tricks the tag must not).
 type ReaderMultiplier struct {
 	Curve *ec.Curve
 }
 
 // ScalarMul implements PointMultiplier.
 func (r *ReaderMultiplier) ScalarMul(k modn.Scalar, p ec.Point) (ec.Point, error) {
-	if r.Curve.IsKoblitz() && !p.Inf {
-		return r.Curve.ScalarMulTNAF(k, p)
-	}
-	return r.Curve.ScalarMulProjective(k, p)
+	return r.Curve.ScalarMulVartime(k, p, ec.LadderOptions{})
 }
 
 // XOnlyMul implements PointMultiplier.
 func (r *ReaderMultiplier) XOnlyMul(k modn.Scalar, p ec.Point) (gf2m.Element, error) {
-	q, err := r.ScalarMul(k, p)
-	if err != nil {
-		return gf2m.Element{}, err
-	}
-	if q.Inf {
-		return gf2m.Element{}, errors.New("protocol: x-only result is the point at infinity")
-	}
-	return q.X, nil
+	return xOnly(r.Curve, k, p, ec.LadderOptions{})
 }
 
 // Ledger counts the operations a party performs so experiments can

@@ -398,8 +398,8 @@ func TestReaderMultiplierMatchesSoftware(t *testing.T) {
 }
 
 func TestFullSessionWithReaderMultiplier(t *testing.T) {
-	// The reader running on the fast path must interoperate with a
-	// tag on the protected software ladder.
+	// The reader running without randomness must interoperate with a
+	// tag whose multiplier draws the ladder's RPC randomness.
 	curve := ec.K163()
 	src := rng.NewDRBG(78).Uint64
 	rdr, err := NewReader(curve, &ReaderMultiplier{Curve: curve}, src)
