@@ -359,8 +359,7 @@ func frobenius(p ProjPoint) ProjPoint {
 // mulTNAF returns k·p for p in the order-n subgroup of a Koblitz curve
 // and k < n: Horner evaluation of the reduced τNAF, Q <- τ(Q) ± p per
 // digit, with projective Frobenius and mixed additions and no
-// inversion. The multiplication tables of x, y and x+y are built once
-// and serve both p and −p.
+// inversion. One prepared operand serves both p and −p = (x, x+y).
 func (c *Curve) mulTNAF(t *tnafConst, k modn.Scalar, p Point) ProjPoint {
 	var digits [tnafMaxDigits]int8
 	n := t.recode(k, digits[:])

@@ -76,18 +76,13 @@ func (c *Curve) ProjDouble(p ProjPoint) ProjPoint {
 }
 
 // mixedOperand is an affine addend prepared for mixed additions: its
-// coordinates and the multiplication tables of x, y and x+y. Since
-// −q = (x, x+y), the same three tables serve q and −q.
+// coordinates and x+y. Since −q = (x, x+y), it serves q and −q alike.
 type mixedOperand struct {
-	x, y, xy    gf2m.Element
-	tx, ty, txy gf2m.Precomp
+	x, y, xy gf2m.Element
 }
 
 func (m *mixedOperand) set(x, y gf2m.Element) {
 	m.x, m.y, m.xy = x, y, gf2m.Add(x, y)
-	m.tx = gf2m.Precompute(x)
-	m.ty = gf2m.Precompute(y)
-	m.txy = gf2m.Precompute(m.xy)
 }
 
 // aTimes returns a·e for the curve coefficient a, free for a ∈ {0, 1}.
@@ -111,16 +106,16 @@ func (c *Curve) aTimes(e gf2m.Element) gf2m.Element {
 // 8 multiplications and 5 squarings (a ∈ {0, 1}); B = 0 routes to the
 // doubling (P = q) or to O (P = −q).
 func (c *Curve) addMixed(p ProjPoint, q *mixedOperand, neg bool) ProjPoint {
-	y2, ty2, tsum := q.y, &q.ty, &q.txy
+	y2, sum := q.y, q.xy
 	if neg {
-		y2, ty2, tsum = q.xy, &q.txy, &q.ty
+		y2, sum = q.xy, q.y
 	}
 	if p.Z.IsZero() {
 		return ProjPoint{X: q.x, Y: y2, Z: gf2m.One()}
 	}
 	z2 := gf2m.Sqr(p.Z)
-	a := gf2m.Add(p.Y, ty2.Mul(z2))
-	b := gf2m.Add(p.X, q.tx.Mul(p.Z))
+	a := gf2m.Add(p.Y, gf2m.Mul(y2, z2))
+	b := gf2m.Add(p.X, gf2m.Mul(q.x, p.Z))
 	if b.IsZero() {
 		if a.IsZero() {
 			return c.ProjDouble(p)
@@ -138,8 +133,8 @@ func (c *Curve) addMixed(p ProjPoint, q *mixedOperand, neg bool) ProjPoint {
 	xacc[1] ^= e[1]
 	xacc[2] ^= e[2]
 	x3 := gf2m.Reduce(xacc)
-	f := gf2m.Add(x3, q.tx.Mul(z3))
-	yacc := tsum.MulNoReduce(gf2m.Sqr(z3))
+	f := gf2m.Add(x3, gf2m.Mul(q.x, z3))
+	yacc := gf2m.MulNoReduce(sum, gf2m.Sqr(z3))
 	gf2m.MulAcc(&yacc, gf2m.Add(e, z3), f)
 	y3 := gf2m.Reduce(yacc)
 	return ProjPoint{X: x3, Y: y3, Z: z3}

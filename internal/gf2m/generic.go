@@ -172,7 +172,8 @@ func (f *Field) reduceTop(v []uint64) {
 
 // Mul returns a * b using left-to-right shift-and-add with interleaved
 // reduction — the classic bit-serial hardware multiplier, and an
-// algorithm entirely unlike the fixed path's comb multiplication.
+// algorithm entirely unlike the fixed path's Karatsuba over
+// integer-multiply word products.
 func (f *Field) Mul(a, b FE) FE {
 	acc := make(FE, f.words)
 	for i := f.M - 1; i >= 0; i-- {

@@ -15,9 +15,13 @@
 //
 // All fixed-path operations are branch-free with respect to operand
 // values (data-dependent branches are what the paper's timing- and
-// SPA-countermeasures forbid); table lookups are indexed by public loop
-// counters or operand bytes, which the simulator's leakage model
-// accounts for explicitly.
+// SPA-countermeasures forbid). Mul has no operand-indexed memory
+// access: its word product is built from integer multiplies
+// (bits.Mul64), a single MUL instruction on amd64 and arm64, though Go
+// does not promise constant-time multiplication on every target. Sqr
+// and Sqrt still look up byte-indexed tables. These are properties of
+// the simulator's software, not of the modelled chip, whose leakage
+// the power model accounts for explicitly.
 package gf2m
 
 import "math/bits"
@@ -108,166 +112,93 @@ func (e Element) normalize() Element {
 	return e
 }
 
-// wordTab is the 4-bit windowed comb table of one 64-bit operand:
-// entry i holds the truncated carry-less product i·x for the sixteen
-// 4-bit window values. Building it costs 7 shift/XOR pairs; a word
-// product then needs only the 16 comb lookups plus the high-bits
-// correction. Hoisting the table out of the word product is what lets
-// one operand's precomputation be shared across every word product
-// using that operand (the Karatsuba left-operand tables below).
-//
-// The window width is pinned at 4 by measurement, not convention: the
-// configuration sweep in mulsweep_test.go (BenchmarkMulSweep; numbers
-// in its header and in BENCH_simcore.json's gf2m/Mul row) puts the
-// 2-bit window ~1.4x slower (twice the lookups) and the 8-bit window
-// ~6x slower (a 256-entry table build per operand word amortizes only
-// after ~10 reuses, which one-shot multiplication never reaches).
-// Likewise one level of 3-word Karatsuba (6 word products) beats
-// schoolbook's 9 by ~15% — and there is no deeper recursion to sweep:
-// the next level would split single words.
-type wordTab [16]uint64
+// Bit-class masks of the multiply-based carry-less word product: class
+// r holds the bits at positions ≡ r (mod 4).
+const (
+	class0 = 0x1111111111111111
+	class1 = class0 << 1
+	class2 = class0 << 2
+	class3 = class0 << 3
+)
 
-// combTab builds the window table of x.
-func combTab(x uint64) wordTab {
-	var u wordTab
-	u[1] = x
-	for i := 2; i < 16; i += 2 {
-		u[i] = u[i/2] << 1
-		u[i+1] = u[i] ^ x
-	}
-	return u
-}
-
-// clmulTab returns the 128-bit carry-less product of x and y as
-// (hi, lo), given x's precomputed window table. It is the standard
-// 4-bit windowed comb with the high-bits correction, and contains no
-// data-dependent branches.
-func clmulTab(u *wordTab, x, y uint64) (hi, lo uint64) {
-	lo = u[y&0xf]
-	for i := uint(4); i < 64; i += 4 {
-		v := u[(y>>i)&0xf]
-		lo ^= v << i
-		hi ^= v >> (64 - i)
-	}
-	// The table entries truncate x<<1, x<<2, x<<3 to 64 bits. For each
-	// window bit k in {1,2,3} the lost high part is (x >> (64-k)),
-	// contributed at every window position whose k-th bit of y is set.
-	const comb = 0x1111111111111111
-	for k := uint(1); k < 4; k++ {
-		z := x >> (64 - k)
-		w := (y >> k) & comb
-		t := w & (-(z & 1))
-		t ^= (w << 1) & (-(z >> 1 & 1))
-		t ^= (w << 2) & (-(z >> 2 & 1))
-		hi ^= t
-	}
-	return hi, lo
-}
-
-// clmulTabTop is clmulTab specialized for the top-word product of two
-// canonical elements: x and y both carry at most 35 bits (degrees
-// 128..162 live in word 2), so the windows above bit 35 of y and the
-// truncated-shift correction (which needs bits 61..63 of x) vanish.
-// This is a structural property of the element encoding, not of the
-// operand values, so the specialization stays branch-free with respect
-// to data.
-func clmulTabTop(u *wordTab, y uint64) (hi, lo uint64) {
-	lo = u[y&0xf]
-	for i := uint(4); i < 36; i += 4 {
-		v := u[(y>>i)&0xf]
-		lo ^= v << i
-		hi ^= v >> (64 - i)
-	}
-	return hi, lo
-}
-
-// clmul64 returns the 128-bit carry-less product of x and y, building
-// the window table on the fly (the one-shot path; multi-product
-// callers go through Precomp so the tables are built once).
+// clmul64 returns the 128-bit carry-less product of x and y, built from
+// integer multiplies. Each operand splits into its four bit classes
+// (positions ≡ r mod 4); the integer product of classes i and j lands
+// only on positions ≡ i+j, so XOR-ing the four class products that land
+// on class r and masking to class r yields the carry-less product
+// there. The 3-bit holes between a class's bits absorb the integer
+// carries as long as no position gathers 16 terms, which a full class
+// of 16 bits against another would do at position i+j+60. So the top
+// nibble of x (bits 60..63) is split off first — leaving at most 15
+// bits per class of x — and its product with y, four masked shifts of
+// y, is added back. There are no data-dependent branches or memory
+// accesses; bits.Mul64 is a single MUL instruction on amd64 and arm64.
 func clmul64(x, y uint64) (hi, lo uint64) {
-	u := combTab(x)
-	return clmulTab(&u, x, y)
+	t := x >> 60
+	x &= 1<<60 - 1
+	x0, x1, x2, x3 := x&class0, x&class1, x&class2, x&class3
+	y0, y1, y2, y3 := y&class0, y&class1, y&class2, y&class3
+
+	h00, l00 := bits.Mul64(x0, y0)
+	h13, l13 := bits.Mul64(x1, y3)
+	h22, l22 := bits.Mul64(x2, y2)
+	h31, l31 := bits.Mul64(x3, y1)
+
+	h01, l01 := bits.Mul64(x0, y1)
+	h10, l10 := bits.Mul64(x1, y0)
+	h23, l23 := bits.Mul64(x2, y3)
+	h32, l32 := bits.Mul64(x3, y2)
+
+	h02, l02 := bits.Mul64(x0, y2)
+	h11, l11 := bits.Mul64(x1, y1)
+	h20, l20 := bits.Mul64(x2, y0)
+	h33, l33 := bits.Mul64(x3, y3)
+
+	h03, l03 := bits.Mul64(x0, y3)
+	h12, l12 := bits.Mul64(x1, y2)
+	h21, l21 := bits.Mul64(x2, y1)
+	h30, l30 := bits.Mul64(x3, y0)
+
+	lo = (l00^l13^l22^l31)&class0 |
+		(l01^l10^l23^l32)&class1 |
+		(l02^l11^l20^l33)&class2 |
+		(l03^l12^l21^l30)&class3
+	hi = (h00^h13^h22^h31)&class0 |
+		(h01^h10^h23^h32)&class1 |
+		(h02^h11^h20^h33)&class2 |
+		(h03^h12^h21^h30)&class3
+
+	// Top-nibble correction: (bit k of t)·y·x^(60+k) for k = 0..3.
+	m0, m1, m2, m3 := -(t & 1), -(t >> 1 & 1), -(t >> 2 & 1), -(t >> 3)
+	lo ^= y<<60&m0 ^ y<<61&m1 ^ y<<62&m2 ^ y<<63&m3
+	hi ^= y>>4&m0 ^ y>>3&m1 ^ y>>2&m2 ^ y>>1&m3
+	return hi, lo
 }
 
-// Precomp is the per-operand half of a 3-word Karatsuba
-// multiplication: the six left-operand words a0, a1, a2, a0^a1, a0^a2,
-// a1^a2 together with their window tables. Precomputing it once and
-// reusing it across multiplications by the same operand (Precomp.Mul)
-// skips the table construction entirely — the software analogue of
-// wiring one multiplicand into the MALU's partial-product array.
-type Precomp struct {
-	x [6]uint64
-	t [6]wordTab
-}
-
-// Precompute builds the Karatsuba tables of a.
-func Precompute(a Element) Precomp {
-	var p Precomp
-	p.x = [6]uint64{a[0], a[1], a[2], a[0] ^ a[1], a[0] ^ a[2], a[1] ^ a[2]}
-	for i, w := range p.x {
-		p.t[i] = combTab(w)
-	}
-	return p
-}
-
-// MulNoReduce returns the unreduced 6-word carry-less product p·b
-// using the 3-word Karatsuba decomposition of Dyka & Langendoerfer:
-// six word products instead of schoolbook's nine. With
+// mul320 returns the unreduced 6-word carry-less product of two
+// elements using the 3-word Karatsuba decomposition of Dyka &
+// Langendoerfer: six word products instead of schoolbook's nine. With
 // A = a0 + a1·X + a2·X² over X = x^64 and Dij = (ai+aj)(bi+bj):
 //
 //	A·B = D00 + (D01+D00+D11)·X + (D02+D00+D11+D22)·X²
 //	          + (D12+D11+D22)·X³ + D22·X⁴
-func (p *Precomp) MulNoReduce(b Element) [6]uint64 {
-	h0, l0 := clmulTab(&p.t[0], p.x[0], b[0])
-	h1, l1 := clmulTab(&p.t[1], p.x[1], b[1])
-	h2, l2 := clmulTabTop(&p.t[2], b[2])
-	h01, l01 := clmulTab(&p.t[3], p.x[3], b[0]^b[1])
-	h02, l02 := clmulTab(&p.t[4], p.x[4], b[0]^b[2])
-	h12, l12 := clmulTab(&p.t[5], p.x[5], b[1]^b[2])
+//
+// The configuration sweep in mulsweep_test.go (BenchmarkMulSweep)
+// keeps the choice measured against schoolbook over the same word
+// kernel, an uncorrected top-word product, and table-driven windowed
+// combs.
+func mul320(a, b Element) [6]uint64 {
+	h0, l0 := clmul64(a[0], b[0])
+	h1, l1 := clmul64(a[1], b[1])
+	h2, l2 := clmul64(a[2], b[2])
+	h01, l01 := clmul64(a[0]^a[1], b[0]^b[1])
+	h02, l02 := clmul64(a[0]^a[2], b[0]^b[2])
+	h12, l12 := clmul64(a[1]^a[2], b[1]^b[2])
 
 	// Middle coefficients (each 128 bits).
 	m1l, m1h := l01^l0^l1, h01^h0^h1       // X term: a0b1+a1b0
 	m2l, m2h := l02^l0^l1^l2, h02^h0^h1^h2 // X² term: a0b2+a2b0+a1b1
 	m3l, m3h := l12^l1^l2, h12^h1^h2       // X³ term: a1b2+a2b1
-
-	return [6]uint64{
-		l0,
-		h0 ^ m1l,
-		m1h ^ m2l,
-		m2h ^ m3l,
-		m3h ^ l2,
-		h2,
-	}
-}
-
-// Mul returns the reduced product p·b.
-func (p *Precomp) Mul(b Element) Element {
-	return reduce(p.MulNoReduce(b))
-}
-
-// mul320 computes the 6-word carry-less product of two 3-word operands
-// via 3-word Karatsuba (6 word products, down from schoolbook's 9).
-// The window tables live in locals so the compiler keeps them on the
-// stack; long-lived per-operand tables go through Precomp instead.
-func mul320(a, b Element) [6]uint64 {
-	x01, x02, x12 := a[0]^a[1], a[0]^a[2], a[1]^a[2]
-	t0 := combTab(a[0])
-	t1 := combTab(a[1])
-	t2 := combTab(a[2])
-	t01 := combTab(x01)
-	t02 := combTab(x02)
-	t12 := combTab(x12)
-
-	h0, l0 := clmulTab(&t0, a[0], b[0])
-	h1, l1 := clmulTab(&t1, a[1], b[1])
-	h2, l2 := clmulTabTop(&t2, b[2])
-	h01, l01 := clmulTab(&t01, x01, b[0]^b[1])
-	h02, l02 := clmulTab(&t02, x02, b[0]^b[2])
-	h12, l12 := clmulTab(&t12, x12, b[1]^b[2])
-
-	m1l, m1h := l01^l0^l1, h01^h0^h1
-	m2l, m2h := l02^l0^l1^l2, h02^h0^h1^h2
-	m3l, m3h := l12^l1^l2, h12^h1^h2
 
 	return [6]uint64{l0, h0 ^ m1l, m1h ^ m2l, m2h ^ m3l, m3h ^ l2, h2}
 }
@@ -404,10 +335,10 @@ func Div(e, f Element) Element { return Mul(e, Inv(f)) }
 // bits — the inverse of sqrSpread restricted to one parity class.
 var sqrtCompact [256]byte
 
-// sqrtXTab holds the multiplication tables of the constant
-// sqrt(x) = x^(2^(m-1)), built once at init from the repeated-squaring
-// definition (the only place that definition is still evaluated).
-var sqrtXTab Precomp
+// sqrtX is the constant sqrt(x) = x^(2^(m-1)); a wrong value would make
+// Sqrt disagree with the repeated-squaring definition in
+// TestSqrtMatchesRepeatedSquaring.
+var sqrtX = Element{0xb6db6db6db6db6b0, 0x492492492492db6d, 0x492492492}
 
 func init() {
 	for b := 0; b < 256; b++ {
@@ -417,7 +348,6 @@ func init() {
 		}
 		sqrtCompact[b] = c
 	}
-	sqrtXTab = Precompute(sqrN(Element{2, 0, 0}, M-1))
 }
 
 // compactEven compresses the even-position bits of w into 32 bits (the
@@ -444,7 +374,7 @@ func compactEven(w uint64) uint64 {
 func Sqrt(e Element) Element {
 	even := Element{compactEven(e[0]) | compactEven(e[1])<<32, compactEven(e[2]), 0}
 	odd := Element{compactEven(e[0]>>1) | compactEven(e[1]>>1)<<32, compactEven(e[2] >> 1), 0}
-	return Add(even, sqrtXTab.Mul(odd))
+	return Add(even, Mul(sqrtX, odd))
 }
 
 // traceVec has bit i set iff Tr(x^i) = 1; the trace of an arbitrary

@@ -27,6 +27,20 @@ func TestClmul64AgainstSlowReference(t *testing.T) {
 	cases := [][2]uint64{
 		{0, 0}, {1, 1}, {^uint64(0), ^uint64(0)}, {1 << 63, 1 << 63},
 		{0x8000000000000001, 0xffffffffffffffff},
+		// A multiply-based kernel with 4-bit holes between bit classes
+		// breaks where one product position gathers 16 terms and carries
+		// into the next class: all-ones squared puts 16 terms at
+		// position 60 of every class product. These inputs pin that the
+		// top-nibble split and its correction are in place.
+		{0x1111111111111111, 0x1111111111111111},
+		{0x8888888888888888, 0x8888888888888888},
+		{0x8888888888888888, ^uint64(0)},
+		{^uint64(0), 0x8888888888888888},
+		{0xf << 60, ^uint64(0)},
+		{^uint64(0), 0xf << 60},
+	}
+	for i := uint(60); i < 64; i++ {
+		cases = append(cases, [2]uint64{1 << i, ^uint64(0)}, [2]uint64{^uint64(0), 1 << i})
 	}
 	for i := 0; i < 2000; i++ {
 		cases = append(cases, [2]uint64{r.Uint64(), r.Uint64()})
