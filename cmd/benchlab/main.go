@@ -208,6 +208,13 @@ func run(ctx context.Context, args []string) error {
 			sink = gf2m.Inv(x)
 		}
 	})
+	// HalfTrace's before is the 162-squaring definition it replaced,
+	// measured on the reference CPU when the table went in.
+	bench("gf2m/HalfTrace", "ns/op", 7640, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sink = gf2m.HalfTrace(x)
+		}
+	})
 	bench("gf2m/Sqrt", "ns/op", 7137, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sink = gf2m.Sqrt(x)

@@ -406,12 +406,19 @@ func (c *Curve) SolveY(x gf2m.Element) (gf2m.Element, bool) {
 	if x.IsZero() {
 		return gf2m.Sqrt(c.B), true
 	}
+	z, ok := c.solveZ(x)
+	return gf2m.Mul(x, z), ok
+}
+
+// solveZ returns the half-trace root z of z^2 + z = x + a + b/x^2 for
+// nonzero x, or zero and false if no root exists. The other root is
+// z+1, so the points with this x are (x, x·z) and (x, x·z + x).
+func (c *Curve) solveZ(x gf2m.Element) (gf2m.Element, bool) {
 	rhs := gf2m.Add(gf2m.Add(x, c.A), gf2m.Div(c.B, gf2m.Sqr(x)))
 	if gf2m.Trace(rhs) != 0 {
 		return gf2m.Zero(), false
 	}
-	z := gf2m.HalfTrace(rhs)
-	return gf2m.Mul(x, z), true
+	return gf2m.HalfTrace(rhs), true
 }
 
 // RandomPoint returns a uniformly random point of the prime-order
@@ -459,13 +466,13 @@ func (c *Curve) Decompress(b []byte) (Point, error) {
 	if x.IsZero() {
 		return Point{}, errors.New("ec: x = 0 not decodable")
 	}
-	y, ok := c.SolveY(x)
+	z, ok := c.solveZ(x)
 	if !ok {
 		return Point{}, errors.New("ec: no point with this x-coordinate")
 	}
-	z := gf2m.Div(y, x)
+	y := gf2m.Mul(x, z)
 	if z.Bit(0) != uint(b[0]&1) {
-		y = gf2m.Add(y, x) // the conjugate solution
+		y = gf2m.Add(y, x) // the conjugate root z+1
 	}
 	return Point{X: x, Y: y}, nil
 }

@@ -282,6 +282,54 @@ func TestCompressDecompressRoundTrip(t *testing.T) {
 	}
 }
 
+// decompressTwoInversions decompresses through the public SolveY and
+// a second inversion, z = y/x, for the parity check.
+func decompressTwoInversions(c *Curve, b []byte) (Point, bool) {
+	x := gf2m.FromBytes(b[1:])
+	y, ok := c.SolveY(x)
+	if !ok {
+		return Point{}, false
+	}
+	if gf2m.Div(y, x).Bit(0) != uint(b[0]&1) {
+		y = gf2m.Add(y, x)
+	}
+	return Point{X: x, Y: y}, true
+}
+
+// TestDecompressMatchesTwoInversionPath pins Decompress, which takes
+// the parity from the half-trace root directly, to the SolveY+Div path
+// on random points of both curves and both compression parities (p
+// and -p = (x, x+y) have opposite parities), and checks it does not
+// allocate.
+func TestDecompressMatchesTwoInversionPath(t *testing.T) {
+	r := rand.New(rand.NewSource(163))
+	for _, c := range curvesUnderTest() {
+		var parities [2]int
+		for i := 0; i < 40; i++ {
+			p := c.RandomPoint(r.Uint64)
+			for _, q := range []Point{p, c.Neg(p)} {
+				enc, err := c.Compress(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				parities[enc[0]&1]++
+				got, err := c.Decompress(enc)
+				want, ok := decompressTwoInversions(c, enc)
+				if err != nil || !ok || !got.Equal(want) || !got.Equal(q) {
+					t.Fatalf("%s: Decompress(%x) = %v, %v; two-inversion path %v; want %v", c.Name, enc, got, err, want, q)
+				}
+			}
+		}
+		if parities[0] == 0 || parities[1] == 0 {
+			t.Fatalf("%s: parities %v: both must occur", c.Name, parities)
+		}
+		enc, _ := c.Compress(c.Generator())
+		if n := testing.AllocsPerRun(20, func() { _, _ = c.Decompress(enc) }); n != 0 {
+			t.Fatalf("%s: Decompress allocates %v times per call", c.Name, n)
+		}
+	}
+}
+
 func TestValidate(t *testing.T) {
 	c := K163()
 	r := rand.New(rand.NewSource(8))
@@ -389,6 +437,21 @@ func BenchmarkScalarMulDoubleAndAdd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkPoint = c.ScalarMulDoubleAndAdd(k, g)
+	}
+}
+
+func BenchmarkDecompress(b *testing.B) {
+	c := K163()
+	enc, err := c.Compress(c.RandomPoint(rand.New(rand.NewSource(1)).Uint64))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sinkPoint, err = c.Decompress(enc); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

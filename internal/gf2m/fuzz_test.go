@@ -84,6 +84,47 @@ func FuzzMulCross(f *testing.F) {
 	})
 }
 
+// FuzzInvCross: the table-driven Itoh–Tsujii inverse must equal the
+// generic field's extended-Euclid inverse, and e·Inv(e) = 1 for e != 0.
+func FuzzInvCross(f *testing.F) {
+	f.Add(uint64(0), uint64(0), uint64(0))
+	f.Add(uint64(1), uint64(0), uint64(0))
+	f.Add(^uint64(0), ^uint64(0), uint64(1<<35-1))
+	f.Add(uint64(0), uint64(0), uint64(1<<34))
+	f.Add(uint64(0xc9), uint64(0), uint64(0))
+	gen := NISTK163Field()
+	f.Fuzz(func(t *testing.T, e0, e1, e2 uint64) {
+		e := FromWords(e0, e1, e2)
+		inv := Inv(e)
+		if want := gen.ToElement(gen.Inv(gen.FromElement(e))); !inv.Equal(want) {
+			t.Fatalf("Inv(%v) = %v, generic field gives %v", e, inv, want)
+		}
+		if !e.IsZero() && !Mul(e, inv).IsOne() {
+			t.Fatalf("%v · Inv(%v) != 1", e, e)
+		}
+	})
+}
+
+// FuzzHalfTrace: the table-driven half-trace must equal the generic
+// field's and the repeated-squaring definition.
+func FuzzHalfTrace(f *testing.F) {
+	f.Add(uint64(0), uint64(0), uint64(0))
+	f.Add(uint64(1), uint64(0), uint64(0))
+	f.Add(^uint64(0), ^uint64(0), uint64(1<<35-1))
+	f.Add(uint64(0), uint64(0), uint64(1<<34))
+	gen := NISTK163Field()
+	f.Fuzz(func(t *testing.T, e0, e1, e2 uint64) {
+		e := FromWords(e0, e1, e2)
+		h := HalfTrace(e)
+		if want := gen.ToElement(gen.HalfTrace(gen.FromElement(e))); !h.Equal(want) {
+			t.Fatalf("HalfTrace(%v) = %v, generic field gives %v", e, h, want)
+		}
+		if want := halfTraceByDefinition(e); !h.Equal(want) {
+			t.Fatalf("HalfTrace(%v) = %v, definition gives %v", e, h, want)
+		}
+	})
+}
+
 // FuzzReduce: arbitrary 6-word polynomials must reduce to canonical
 // form consistently with multiply-then-reduce identities.
 func FuzzReduce(f *testing.F) {

@@ -33,8 +33,8 @@ func TestGenericMatchesFixed(t *testing.T) {
 			t.Fatalf("generic Trace disagrees for a=%v", a)
 		}
 	}
-	// Sqrt and HalfTrace on a smaller sample (they cost ~2m squarings
-	// in the generic path).
+	// Sqrt and HalfTrace on a smaller sample: in the generic path each
+	// is m-1 = 162 bit-serial squarings.
 	for i := 0; i < 10; i++ {
 		a := randElement(r)
 		ga := f.FromElement(a)

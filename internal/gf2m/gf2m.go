@@ -19,9 +19,11 @@
 // access: its word product is built from integer multiplies
 // (bits.Mul64), a single MUL instruction on amd64 and arm64, though Go
 // does not promise constant-time multiplication on every target. Sqr
-// and Sqrt still look up byte-indexed tables. These are properties of
-// the simulator's software, not of the modelled chip, whose leakage
-// the power model accounts for explicitly.
+// and Sqrt still look up byte-indexed tables, and Inv and HalfTrace
+// look up nibble-indexed tables of GF(2)-linear maps, about 79 KB in all
+// (linTab). These are properties of the simulator's software, not of
+// the modelled chip, whose leakage the power model accounts for
+// explicitly.
 package gf2m
 
 import "math/bits"
@@ -226,40 +228,33 @@ func SqrNoReduce(e Element) [6]uint64 {
 	return c
 }
 
-// reduce reduces a 6-word polynomial (degree <= 324) modulo
-// f(x) = x^163 + x^7 + x^6 + x^3 + 1 using the congruence
-// x^163 = x^7 + x^6 + x^3 + 1. Two folding rounds suffice because the
-// first fold leaves degree at most 169.
-func reduce(c [6]uint64) Element {
+// reduce reduces a 6-word polynomial c0..c5 (little-endian words,
+// degree <= 324) modulo f(x) = x^163 + x^7 + x^6 + x^3 + 1 using the
+// congruence x^163 = x^7 + x^6 + x^3 + 1. Two folding rounds suffice
+// because the first fold leaves degree at most 169. The words arrive
+// as scalars so Sqr's spread words never pass through memory.
+func reduce(c0, c1, c2, c3, c4, c5 uint64) Element {
 	// h = c >> 163 (degrees 163..324, at most 162 bits).
-	var h [3]uint64
-	h[0] = c[2]>>35 | c[3]<<29
-	h[1] = c[3]>>35 | c[4]<<29
-	h[2] = c[4]>>35 | c[5]<<29
+	h0 := c2>>35 | c3<<29
+	h1 := c3>>35 | c4<<29
+	h2 := c4>>35 | c5<<29
 
 	// low = c mod x^163, then fold h*(x^7+x^6+x^3+1) in. Shifts of the
 	// 163-bit h by up to 7 fit in 3 words (degree <= 169 < 192).
-	var t [3]uint64
-	t[0] = h[0] ^ h[0]<<3 ^ h[0]<<6 ^ h[0]<<7
-	t[1] = h[1] ^ h[1]<<3 ^ h[1]<<6 ^ h[1]<<7 ^ h[0]>>61 ^ h[0]>>58 ^ h[0]>>57
-	t[2] = h[2] ^ h[2]<<3 ^ h[2]<<6 ^ h[2]<<7 ^ h[1]>>61 ^ h[1]>>58 ^ h[1]>>57
-
-	var r Element
-	r[0] = c[0] ^ t[0]
-	r[1] = c[1] ^ t[1]
-	r[2] = c[2]&topMask ^ t[2]
+	r0 := c0 ^ h0 ^ h0<<3 ^ h0<<6 ^ h0<<7
+	r1 := c1 ^ h1 ^ h1<<3 ^ h1<<6 ^ h1<<7 ^ h0>>61 ^ h0>>58 ^ h0>>57
+	r2 := c2&topMask ^ h2 ^ h2<<3 ^ h2<<6 ^ h2<<7 ^ h1>>61 ^ h1>>58 ^ h1>>57
 
 	// Second fold: whatever landed at degrees 163..169 (word 2 bits
 	// 35..41) folds entirely into word 0.
-	h2 := r[2] >> 35
-	r[2] &= topMask
-	r[0] ^= h2 ^ h2<<3 ^ h2<<6 ^ h2<<7
-	return r
+	t := r2 >> 35
+	return Element{r0 ^ t ^ t<<3 ^ t<<6 ^ t<<7, r1, r2 & topMask}
 }
 
 // Mul returns e * f in GF(2^163).
 func Mul(e, f Element) Element {
-	return reduce(mul320(e, f))
+	c := mul320(e, f)
+	return reduce(c[0], c[1], c[2], c[3], c[4], c[5])
 }
 
 // sqrSpread maps a byte b0..b7 to the 16-bit value with b's bits
@@ -294,11 +289,10 @@ func spread64(w uint64) (hi, lo uint64) {
 // coefficients with zeros, which is why hardware squarers are cheap
 // relative to general multipliers.
 func Sqr(e Element) Element {
-	var c [6]uint64
-	c[1], c[0] = spread64(e[0])
-	c[3], c[2] = spread64(e[1])
-	c[5], c[4] = spread64(e[2])
-	return reduce(c)
+	h0, l0 := spread64(e[0])
+	h1, l1 := spread64(e[1])
+	h2, l2 := spread64(e[2])
+	return reduce(l0, h0, l1, h1, l2, h2)
 }
 
 // sqrN returns e^(2^n) by repeated squaring.
@@ -309,23 +303,70 @@ func sqrN(e Element, n int) Element {
 	return e
 }
 
+// linTab evaluates a GF(2)-linear map on GF(2^163) by table lookup:
+// entry [i][v] is the image of v·x^(4i), so the image of e is the XOR
+// of one entry per nibble of e — 41 lookups for 163 bits, 15.7 KB per
+// map. Repeated squaring and the half-trace are both linear.
+type linTab [(M + 3) / 4][16]Element
+
+// fill tabulates f from its images of the basis x^0..x^162.
+func (t *linTab) fill(f func(Element) Element) {
+	for n := 0; n < M; n++ {
+		img, b := f(Element{}.SetBit(n, 1)), 1<<(n%4)
+		for v := b; v < 2*b; v++ {
+			t[n/4][v] = Add(t[n/4][v-b], img)
+		}
+	}
+}
+
+func (t *linTab) apply(e Element) Element {
+	var r0, r1, r2 uint64
+	for w, x := range e {
+		rows := t[16*w : min(16*w+16, len(t))]
+		for i := range rows {
+			v := &rows[i][x&0xf]
+			x >>= 4
+			r0 ^= v[0]
+			r1 ^= v[1]
+			r2 ^= v[2]
+		}
+	}
+	return Element{r0, r1, r2}
+}
+
+// Tables of e -> e^(2^k) for Inv's long squaring runs, and of the
+// half-trace, built once at package init (about 1 ms). Each longer
+// run composes the shorter tables; TestLinTablesMatchRepeatedSquaring
+// pins every table to its definition.
+var sqr10, sqr20, sqr40, sqr81, halfTrace linTab
+
+func init() {
+	sqr10.fill(func(e Element) Element { return sqrN(e, 10) })
+	sqr20.fill(func(e Element) Element { return sqr10.apply(sqr10.apply(e)) })
+	sqr40.fill(func(e Element) Element { return sqr20.apply(sqr20.apply(e)) })
+	sqr81.fill(func(e Element) Element { return Sqr(sqr40.apply(sqr40.apply(e))) })
+	halfTrace.fill(halfTraceByDefinition)
+}
+
 // Inv returns the multiplicative inverse of e, computed with the
 // Itoh–Tsujii addition chain for m-1 = 162
-// (1,2,4,5,10,20,40,80,81,162): 9 multiplications and 162 squarings.
+// (1,2,4,5,10,20,40,80,81,162): 9 multiplications, 11 squarings and
+// four table evaluations for the runs of 10, 20, 40 and 81 squarings
+// (the set invsweep_test.go measured fastest within the table budget).
 // Inv of the zero element returns zero (the caller is expected to
 // guard; protocols in this module never invert zero).
 func Inv(e Element) Element {
 	b1 := e                     // e^(2^1 - 1)
-	b2 := Mul(sqrN(b1, 1), b1)  // e^(2^2 - 1)
+	b2 := Mul(Sqr(b1), b1)      // e^(2^2 - 1)
 	b4 := Mul(sqrN(b2, 2), b2)  // e^(2^4 - 1)
-	b5 := Mul(sqrN(b4, 1), b1)  // e^(2^5 - 1)
+	b5 := Mul(Sqr(b4), b1)      // e^(2^5 - 1)
 	b10 := Mul(sqrN(b5, 5), b5) // e^(2^10 - 1)
-	b20 := Mul(sqrN(b10, 10), b10)
-	b40 := Mul(sqrN(b20, 20), b20)
-	b80 := Mul(sqrN(b40, 40), b40)
-	b81 := Mul(sqrN(b80, 1), b1)
-	b162 := Mul(sqrN(b81, 81), b81) // e^(2^162 - 1)
-	return Sqr(b162)                // e^(2^163 - 2) = e^-1
+	b20 := Mul(sqr10.apply(b10), b10)
+	b40 := Mul(sqr20.apply(b20), b20)
+	b80 := Mul(sqr40.apply(b40), b40)
+	b81 := Mul(Sqr(b80), b1)
+	b162 := Mul(sqr81.apply(b81), b81) // e^(2^162 - 1)
+	return Sqr(b162)                   // e^(2^163 - 2) = e^-1
 }
 
 // Div returns e / f = e * f^-1.
@@ -409,19 +450,22 @@ func Trace(e Element) uint {
 	return uint(and.Weight()) & 1
 }
 
-// HalfTrace returns H(e) = sum_{i=0}^{(m-1)/2} e^(2^(2i)). For odd m,
-// if Tr(e) = 0 then z = H(e) solves z^2 + z = e; this is how the curve
-// layer solves for y-coordinates (point decompression, y-recovery
-// checks). If Tr(e) = 1 the equation has no solution.
-func HalfTrace(e Element) Element {
+// halfTraceByDefinition is the 81-step sum the halfTrace table holds.
+func halfTraceByDefinition(e Element) Element {
 	h := e
-	t := e
 	for i := 1; i <= (M-1)/2; i++ {
-		t = Sqr(Sqr(t))
-		h = Add(h, t)
+		e = Sqr(Sqr(e))
+		h = Add(h, e)
 	}
 	return h
 }
+
+// HalfTrace returns H(e) = sum_{i=0}^{(m-1)/2} e^(2^(2i)). For odd m,
+// if Tr(e) = 0 then z = H(e) solves z^2 + z = e; this is how the curve
+// layer solves for y-coordinates (point decompression, y-recovery
+// checks). If Tr(e) = 1 the equation has no solution. H is linear, so
+// it is one table evaluation rather than 162 squarings.
+func HalfTrace(e Element) Element { return halfTrace.apply(e) }
 
 // Bytes returns the big-endian 21-byte encoding of e (ceil(163/8)).
 func (e Element) Bytes() []byte {
@@ -514,7 +558,7 @@ func MustFromHex(s string) Element {
 func MulNoReduce(e, f Element) [6]uint64 { return mul320(e, f) }
 
 // Reduce exposes polynomial reduction of a 6-word value for tests.
-func Reduce(c [6]uint64) Element { return reduce(c) }
+func Reduce(c [6]uint64) Element { return reduce(c[0], c[1], c[2], c[3], c[4], c[5]) }
 
 // ShlMod returns e * x^s mod f(x) for small shift amounts 0 <= s <= 61.
 // This is the per-cycle operation of the digit-serial multiplier

@@ -136,12 +136,20 @@ func TestInv(t *testing.T) {
 		if !Mul(a, Inv(a)).IsOne() {
 			t.Fatalf("a * a^-1 != 1 for a=%v", a)
 		}
+		// The table-driven chain must equal the table-free one.
+		if got, want := Inv(a), invSlow(a); !got.Equal(want) {
+			t.Fatalf("Inv(%v) = %v, repeated-squaring chain gives %v", a, got, want)
+		}
 	}
 	if !Inv(One()).IsOne() {
 		t.Fatal("1^-1 != 1")
 	}
-	if !Inv(Zero()).IsZero() {
+	if !Inv(Zero()).IsZero() || !invSlow(Zero()).IsZero() {
 		t.Fatal("Inv(0) should return 0 by convention")
+	}
+	a := randElement(r)
+	if n := testing.AllocsPerRun(20, func() { sink = Inv(a); sink = HalfTrace(a) }); n != 0 {
+		t.Fatalf("Inv+HalfTrace allocate %v times per call", n)
 	}
 }
 
@@ -189,6 +197,31 @@ func TestSqrtMatchesRepeatedSquaring(t *testing.T) {
 	}
 	if !Sqrt(Zero()).IsZero() || !Sqrt(One()).IsOne() {
 		t.Fatal("Sqrt must fix 0 and 1")
+	}
+}
+
+// TestLinTablesMatchRepeatedSquaring pins every nibble-indexed table
+// to the map it tabulates: the squaring tables to sqrN, the half-trace
+// table to its definition, on all 163 basis vectors and on random
+// elements.
+func TestLinTablesMatchRepeatedSquaring(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	es := make([]Element, 0, M+200)
+	for n := 0; n < M; n++ {
+		es = append(es, Element{}.SetBit(n, 1))
+	}
+	for i := 0; i < 200; i++ {
+		es = append(es, randElement(r))
+	}
+	for _, e := range es {
+		for k, tab := range map[int]*linTab{10: &sqr10, 20: &sqr20, 40: &sqr40, 81: &sqr81} {
+			if got, want := tab.apply(e), sqrN(e, k); !got.Equal(want) {
+				t.Fatalf("sqr%d table(%v) = %v, repeated squaring gives %v", k, e, got, want)
+			}
+		}
+		if got, want := HalfTrace(e), halfTraceByDefinition(e); !got.Equal(want) {
+			t.Fatalf("HalfTrace(%v) = %v, definition gives %v", e, got, want)
+		}
 	}
 }
 
@@ -424,6 +457,16 @@ func BenchmarkInv(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		x = Inv(x)
+	}
+	sink = x
+}
+
+func BenchmarkHalfTrace(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	x := randElement(r)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x = HalfTrace(x)
 	}
 	sink = x
 }

@@ -299,7 +299,7 @@ func TestMulSweepVariantsAgree(t *testing.T) {
 			"karatsuba-w8":   mulKaratsubaW(a, b, clmul64W8),
 			"schoolbook-w4":  mulSchoolbookW4(a, b),
 		} {
-			if got := reduce(raw); got != want {
+			if got := Reduce(raw); got != want {
 				t.Fatalf("%s: Mul(%v, %v) = %v, want %v", name, a, b, got, want)
 			}
 		}
@@ -321,7 +321,7 @@ func BenchmarkMulSweep(b *testing.B) {
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				benchSink = reduce(v.mul(benchA, benchB))
+				benchSink = Reduce(v.mul(benchA, benchB))
 			}
 		})
 	}

@@ -40,11 +40,11 @@ type PointMultiplier interface {
 
 // SoftwareMultiplier is the functional multiplier of the simulated
 // parties: ec.ScalarMulVartime, exact but not constant time. On the
-// generator it takes a fixed-window table (about 40-65 µs per
+// generator it takes a fixed-window table (about 30-50 µs per
 // product), on other K-163 subgroup points a τNAF with López–Dahab
-// mixed additions (about 95-150 µs), and the constant-time ladder
+// mixed additions (about 75-125 µs), and the constant-time ladder
 // with randomized projective coordinates everywhere else, notably
-// B-163 variable base (about 210-300 µs); BenchmarkScalarMulFixedBase,
+// B-163 variable base (about 145-220 µs); BenchmarkScalarMulFixedBase,
 // BenchmarkScalarMulTNAF and BenchmarkScalarMulLadderRPC in
 // internal/ec at -cpu 1, ranges over 8 runs on a shared 2-vCPU Xeon. Results and errors equal the ladder's on
 // every input. The ladder's two RPC draws are consumed from Rand on
@@ -77,7 +77,7 @@ func xOnly(c *ec.Curve, k modn.Scalar, p ec.Point, opt ec.LadderOptions) (gf2m.E
 
 // ReaderMultiplier is the energy-rich verifier's scalar
 // multiplication: the same exact, variable-time routes and speeds as
-// SoftwareMultiplier (about 40-65 µs on G, 95-150 µs on other
+// SoftwareMultiplier (about 30-50 µs on G, 75-125 µs on other
 // K-163 points) with no randomness drawn (the ladder route runs
 // without projective randomization). It is NOT constant time — reader
 // side only, never on a tag (the asymmetry rule of §4 cuts both ways:
