@@ -128,6 +128,25 @@ func TestLinklabGridRowEquivalence(t *testing.T) {
 			t.Errorf("row %d drifted:\n got %q\nwant %q", i, got[i], want[i])
 		}
 	}
+	// The rows round to 2 decimals; the exact bits of each cell's
+	// means (math.Float64bits of MeanPhyJ, MeanLedgerJ) also pin the
+	// float association order of the session price.
+	wantBits := [][2]uint64{
+		{0x3f19125bde5e55dd, 0x3f10ae569da41ddf},
+		{0x3f1a4f45654a69aa, 0x3f11954eea477ebe},
+		{0x3f29b8c4725755bd, 0x3f216a1244df83b8},
+		{0x3f232d00ae998d87, 0x3f1a9a7f5781fcb0},
+		{0x3f19277f8704fda7, 0x3f10bb6cb0b5f375},
+		{0x3f1d87b62671f695, 0x3f13ec95c5c79b70},
+		{0x3f2128d55fe6131e, 0x3f173196993db7f4},
+		{0x3f2a335eb17924d3, 0x3f221a466bb6eab2},
+	}
+	for i, c := range rep.Cells {
+		got := [2]uint64{math.Float64bits(c.MeanPhyJ), math.Float64bits(c.MeanLedgerJ)}
+		if got != wantBits[i] {
+			t.Errorf("cell %d (loss %v, dist %v): bits %#x, want %#x", i, c.Loss, c.Distance, got, wantBits[i])
+		}
+	}
 }
 
 // The pacemaker example's honest-session line: same chip seed, same
