@@ -80,7 +80,6 @@ func main() {
 // result is the full cost vector of one evaluated design point.
 type result struct {
 	PMEnergyJ  float64 // one point multiplication, noise-free
-	PMCycles   int
 	AreaGE     float64
 	Completion float64 // fraction of sessions that established a key
 	SessionJ   float64 // mean physical energy per session (retransmission-true)
@@ -152,13 +151,16 @@ func run(ctx context.Context, args []string) error {
 	// a pure function of (seed, idx) and folds are positional writes,
 	// so the table is byte-identical for any worker count.
 	results := make([]result, len(pts))
-	eval := func(idx int) (result, error) {
-		return evalPoint(stacks[idx], idx, *seed, *reps, *tvlaN, *lanes, sizes)
+	sessions := make([]*design.Session, campaign.Workers(*workers))
+	for w := range sessions {
+		sessions[w] = design.NewSession(nil)
 	}
 	_, err = campaign.RunSharded(0, len(pts),
 		campaign.ShardedConfig{Workers: *workers, Shards: *shards, Ctx: ctx},
 		func(idx int) (int, error) { return idx, nil },
-		func(worker, idx int, _ int) (result, error) { return eval(idx) },
+		func(worker, idx int, _ int) (result, error) {
+			return evalPoint(sessions[worker], stacks[idx], idx, *seed, *reps, *tvlaN, *lanes, sizes)
+		},
 		func(shard int) int { return shard },
 		func(shard int, _ int, idx int, _ int, out result) error {
 			results[idx] = out
@@ -294,17 +296,17 @@ func buildGrid(gridFile, dList, logicList, rpcList, maskList, channel string, lo
 	return pts, nil
 }
 
-// evalPoint measures one design point's full cost vector. Every
-// substream derives from (seed, idx), so the result is a pure
-// function of the point and the seed.
-func evalPoint(st *design.Stack, idx int, seed uint64, reps, tvlaN, lanes int, cpaSizes []int) (result, error) {
+// evalPoint measures one design point's full cost vector, running its
+// sessions on sess. Every substream derives from (seed, idx), so the
+// result is a pure function of the point and the seed.
+func evalPoint(sess *design.Session, st *design.Stack, idx int, seed uint64, reps, tvlaN, lanes int, cpaSizes []int) (result, error) {
 	var r result
 	key := st.DeviceKey(seed)
 	pm, err := st.MeasurePointMul(key, design.MixSeed(seed, idx, 1))
 	if err != nil {
 		return r, err
 	}
-	r.PMEnergyJ, r.PMCycles = pm.EnergyJ, pm.Cycles
+	r.PMEnergyJ = pm.EnergyJ
 	r.AreaGE = st.Area.TotalGE()
 
 	// Sessions over the point's channel: the energy billed is the
@@ -314,19 +316,20 @@ func evalPoint(st *design.Stack, idx int, seed uint64, reps, tvlaN, lanes int, c
 	completed := 0
 	var sumJ, sumLat float64
 	for rep := 0; rep < reps; rep++ {
-		out, err := st.RunAuthSession(design.MixSeed(seed, idx, 100+rep), nil)
+		sseed := design.MixSeed(seed, idx, 100+rep)
+		dev, rdr, err := st.Parties(sseed ^ 0xC0FFEE)
 		if err != nil {
 			return r, err
 		}
-		sumJ += st.Radio.TxEnergy(out.PhyTxBits, st.Point.DistanceM) +
-			st.Radio.RxEnergy(out.PhyRxBits) +
-			float64(out.Ledger.PointMuls)*pm.EnergyJ +
-			float64(out.Ledger.ModMuls)*st.Costs.ModMulJ +
-			float64(out.Ledger.AESBlocks)*st.Costs.AESBlockJ
+		out, err := sess.Run(st, dev, rdr, sseed)
+		if err != nil {
+			return r, err
+		}
+		eJ, latS := st.Price(out, pm)
+		sumJ += eJ
 		if out.Completed {
 			completed++
-			sumLat += float64(out.Ledger.PointMuls)*float64(pm.Cycles)/st.Point.ClockHz +
-				float64(out.PhyTxBits+out.PhyRxBits)/design.DefaultBitrateBps
+			sumLat += latS
 		}
 	}
 	r.SessionJ = sumJ / float64(reps)

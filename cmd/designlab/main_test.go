@@ -34,7 +34,7 @@ func TestEvalPointSessionPricePinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := evalPoint(st, i, 1, 6, 0, design.DefaultLanes, nil)
+		r, err := evalPoint(design.NewSession(nil), st, i, 1, 6, 0, design.DefaultLanes, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,6 +13,7 @@ import (
 
 	"medsec/internal/core"
 	"medsec/internal/design"
+	"medsec/internal/link"
 	"medsec/internal/protocol"
 	"medsec/internal/radio"
 	"medsec/internal/rng"
@@ -139,7 +140,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pair, err := nst.Pair(777)
+	pair, err := link.NewPair(nst.Channel, nst.ARQ, 777)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -151,23 +151,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pair, err := lst.Pair(7)
+	lossy, err := design.NewSession(nil).Run(lst, pacemaker, programmer, 7)
 	if err != nil {
 		log.Fatal(err)
 	}
-	lossy, err := protocol.RunMutualAuthSession(pacemaker, programmer, protocol.SessionOptions{
-		Wire: protocol.NewWire(pair), ServerFirst: true,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	linkStats := pair.A().Stats()
 	fmt.Printf("completed: %v (stage %s), %d device retries\n",
-		lossy.Completed, lossy.AbortStage, linkStats.Retries)
-	lossyJ := m.LedgerEnergy(lossy.DeviceLedger, st.Point.DistanceM, costs)
-	phyRadioJ := m.TxEnergy(linkStats.PhyTxBits(), st.Point.DistanceM) + m.RxEnergy(linkStats.PhyRxBits())
+		lossy.Completed, lossy.Stage, lossy.Retries)
+	lossyJ := m.LedgerEnergy(lossy.Ledger, st.Point.DistanceM, costs)
+	// The radio part of the session price: its on-air bits alone.
+	phyRadioJ, _ := lst.Price(design.SessionOutcome{PhyTxBits: lossy.PhyTxBits, PhyRxBits: lossy.PhyRxBits}, design.Measurement{})
 	fmt.Printf("payload bits TX %d (perfect link: %d) -> session %.1f uJ (was %.1f uJ)\n",
-		lossy.DeviceLedger.TxBits, res.DeviceLedger.TxBits, lossyJ*1e6, sessionJ*1e6)
+		lossy.Ledger.TxBits, res.DeviceLedger.TxBits, lossyJ*1e6, sessionJ*1e6)
 	fmt.Printf("with framing+ACK overhead the radio alone costs %.1f uJ\n", phyRadioJ*1e6)
 	fmt.Println("(sweep loss x distance -> completion/retries/energy with cmd/linklab)")
 	fmt.Println()

@@ -27,9 +27,7 @@ import (
 	"medsec/internal/gf2m"
 	"medsec/internal/link"
 	"medsec/internal/modn"
-	"medsec/internal/obs"
 	"medsec/internal/power"
-	"medsec/internal/protocol"
 	"medsec/internal/radio"
 	"medsec/internal/rng"
 	"medsec/internal/sca"
@@ -471,12 +469,6 @@ func (s *Stack) ProgramFor(key modn.Scalar) (*coproc.Program, error) {
 	return coproc.BuildLadderProgram(coproc.ProgramOptions{RPC: s.Point.RPC}), nil
 }
 
-// CyclesPerPointMul returns the cycle count of one full point
-// multiplication at this point's timing.
-func (s *Stack) CyclesPerPointMul() int {
-	return s.Ladder().CycleCount(s.Timing)
-}
-
 // GenericField exposes the generic-arithmetic path for this point's
 // field: a bit-width-agnostic GF(2^m) tower equivalent to the
 // fixed-width gf2m.Element fast path the coproc interpreter uses.
@@ -559,71 +551,6 @@ func (s *Stack) measure(key modn.Scalar, randSeed uint64,
 		_, err := cpu.Run(prog, key)
 		return err
 	})
-}
-
-// Pair mints one instrumented link pair (device side A, server side
-// B) over this point's channel and ARQ policy.
-func (s *Stack) Pair(seed uint64) (*link.Pair, error) {
-	return link.NewPair(s.Channel, s.ARQ, seed)
-}
-
-// SessionOutcome is one mutual-authentication session over the
-// point's link, with the device-side radio billing attached.
-type SessionOutcome struct {
-	Completed bool
-	// Stage is where the session stopped (protocol.StageComplete on
-	// success, protocol.StageLink when the retry budget died).
-	Stage string
-	// Retries is the device endpoint's retransmission count.
-	Retries int
-	// Ledger is the device's computation/payload ledger.
-	Ledger protocol.Ledger
-	// PhyTxBits/PhyRxBits are the device's on-air bill, framing and
-	// ACKs included.
-	PhyTxBits, PhyRxBits int
-	// ElapsedTicks is the link's virtual clock at session end.
-	ElapsedTicks int
-}
-
-// RunAuthSession runs one server-first mutual-authentication session
-// between a fresh device/server party pair over this point's link.
-// The seed derives the channel fault stream and (via a fixed tweak)
-// the parties' DRBG, exactly as the linksim campaign engine always
-// did, so grid cells remain bit-identical. reg may be nil.
-func (s *Stack) RunAuthSession(seed uint64, reg *obs.Registry) (SessionOutcome, error) {
-	pair, err := link.NewPair(s.Channel, s.ARQ, seed)
-	if err != nil {
-		return SessionOutcome{}, err
-	}
-	pair.Instrument(reg)
-	src := rng.NewDRBG(seed ^ 0xC0FFEE).Uint64
-	mul := &protocol.SoftwareMultiplier{Curve: s.Curve, Rand: src}
-	rdr, err := protocol.NewReader(s.Curve, mul, src)
-	if err != nil {
-		return SessionOutcome{}, err
-	}
-	dev, err := protocol.NewTag(s.Curve, mul, src, rdr.Pub)
-	if err != nil {
-		return SessionOutcome{}, err
-	}
-	rdr.Register(dev.Pub)
-	res, err := protocol.RunMutualAuthSession(dev, rdr, protocol.SessionOptions{
-		Wire:        protocol.NewWire(pair),
-		ServerFirst: true,
-	})
-	if err != nil {
-		return SessionOutcome{}, err
-	}
-	st := pair.A().Stats()
-	return SessionOutcome{
-		Completed:    res.Completed,
-		Stage:        res.AbortStage,
-		Retries:      st.Retries,
-		Ledger:       res.DeviceLedger,
-		PhyTxBits:    st.PhyTxBits(),
-		PhyRxBits:    st.PhyRxBits(),
-		ElapsedTicks: pair.Elapsed(),
-	}, nil
 }
 
 // MixSeed derives the per-session seed for grid cell (cell, rep) from

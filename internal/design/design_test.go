@@ -136,28 +136,76 @@ func TestChipRejectsDoubleAndAdd(t *testing.T) {
 	}
 }
 
-func TestAuthSessionOnPerfectLink(t *testing.T) {
-	st := Defaults().MustBuild()
-	out, err := st.RunAuthSession(7, nil)
-	if err != nil {
-		t.Fatal(err)
+// TestSessionReuseEquivalence: one pooled Session driven across
+// perfect, iid and bursty stacks and several seeds returns exactly
+// what a fresh Session returns for each (stack, parties, seed), so a
+// worker's session history never leaks into a result.
+func TestSessionReuseEquivalence(t *testing.T) {
+	var stacks []*Stack
+	for _, ch := range []struct {
+		kind string
+		loss float64
+	}{{ChannelPerfect, 0}, {ChannelIID, 0.3}, {ChannelBursty, 0.5}} {
+		p := Defaults()
+		p.Channel, p.Loss = ch.kind, ch.loss
+		stacks = append(stacks, p.MustBuild())
 	}
-	if !out.Completed || out.Retries != 0 {
-		t.Fatalf("perfect-link session: %+v", out)
+	pooled := NewSession(nil)
+	run := func(s *Session, st *Stack, seed uint64) SessionOutcome {
+		t.Helper()
+		dev, rdr, err := st.Parties(seed ^ 0xC0FFEE)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := s.Run(st, dev, rdr, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	if out.Ledger.PointMuls != 4 {
-		t.Fatalf("device PMs = %d, want 4", out.Ledger.PointMuls)
+	aborted := false
+	for seed := uint64(1); seed <= 6; seed++ {
+		for i, st := range stacks {
+			got := run(pooled, st, seed)
+			if want := run(NewSession(nil), st, seed); got != want {
+				t.Fatalf("%s seed %d: pooled %+v != fresh %+v", st.Point.Channel, seed, got, want)
+			}
+			aborted = aborted || !got.Completed
+			if i != 0 {
+				continue
+			}
+			// The perfect link: one attempt per frame, the paper's
+			// 4 device point multiplications, and a PHY bill above
+			// the payload (framing + ACKs).
+			if !got.Completed || got.Retries != 0 {
+				t.Fatalf("perfect-link session: %+v", got)
+			}
+			if got.Ledger.PointMuls != 4 {
+				t.Fatalf("device PMs = %d, want 4", got.Ledger.PointMuls)
+			}
+			if got.PhyTxBits <= got.Ledger.TxBits {
+				t.Fatalf("PHY bill (%d) must exceed payload (%d): framing+ACKs", got.PhyTxBits, got.Ledger.TxBits)
+			}
+		}
 	}
-	if out.PhyTxBits <= out.Ledger.TxBits {
-		t.Fatalf("PHY bill (%d) must exceed payload (%d): framing+ACKs", out.PhyTxBits, out.Ledger.TxBits)
+	if !aborted {
+		t.Fatal("no session aborted: the lossy stacks do not exercise the abort path")
 	}
-	// Same seed, same outcome — sweeps rely on it.
-	out2, err := st.RunAuthSession(7, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != out2 {
-		t.Fatalf("session not deterministic: %+v vs %+v", out, out2)
+}
+
+// TestSessionRearmAllocs gates the pooled path: re-arming a Session's
+// link for the next session allocates nothing.
+func TestSessionRearmAllocs(t *testing.T) {
+	p := Defaults()
+	p.Channel, p.Loss = ChannelBursty, 0.3
+	st := p.MustBuild()
+	s := NewSession(nil)
+	if n := testing.AllocsPerRun(100, func() {
+		if err := s.pair.Reset(st.Channel, st.ARQ, 99); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("session re-arm allocates %v times, want 0", n)
 	}
 }
 

@@ -4,17 +4,15 @@ import (
 	"testing"
 
 	"medsec/internal/design"
-	"medsec/internal/protocol"
-	"medsec/internal/rng"
 )
 
-// TestLabSteadyStateAllocs gates the pooled session state: re-arming
-// a worker lab for the next session — link pair reset, wire rebind —
-// must allocate nothing. The protocol run itself still allocates its
-// wire messages; the ceiling pins that cost so it cannot silently
-// regress (it was ~50 allocations per session when pinned; the bound
-// leaves headroom for small protocol changes, not for a leak back to
-// per-session pair construction).
+// TestLabSteadyStateAllocs pins the cost of one full session on a
+// worker's pooled lab. Re-arming the pooled link is gated at zero
+// allocations by design's TestSessionRearmAllocs; the protocol run
+// itself still allocates its wire messages, and this ceiling pins that
+// cost so it cannot silently regress (it was ~50 allocations per
+// session when pinned; the bound leaves headroom for small protocol
+// changes, not for a leak back to per-session pair construction).
 func TestLabSteadyStateAllocs(t *testing.T) {
 	cfg := testFleet(4)
 	cache := design.NewCache()
@@ -22,34 +20,17 @@ func TestLabSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := newLab(cache)
+	l := &lab{cache: cache, sess: design.NewSession(nil)}
 	dp := cfg.deviceParams(0)
 	st, err := cache.Build(dp.point)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := rng.NewDRBG(1).Uint64
-	mul := &protocol.SoftwareMultiplier{Curve: st.Curve, Rand: src}
-	rdr, err := protocol.NewReader(st.Curve, mul, src)
+	dev, rdr, err := st.Parties(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev, err := protocol.NewTag(st.Curve, mul, src, rdr.Pub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rdr.Register(dev.Pub)
 
-	// The pool-reset path: exactly zero allocations.
-	if n := testing.AllocsPerRun(100, func() {
-		if err := l.pair.Reset(st.Channel, st.ARQ, 99); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Fatalf("lab re-arm allocates %v times per session, want 0", n)
-	}
-
-	// The full session, on the pooled lab: a pinned ceiling.
 	out := deviceOutcome{latencyUS: make([]int64, 0, 64)}
 	n := testing.AllocsPerRun(20, func() {
 		out.latencyUS = out.latencyUS[:0]

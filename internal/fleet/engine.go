@@ -2,15 +2,14 @@ package fleet
 
 import (
 	"context"
+	"fmt"
 	"math"
 
 	"medsec/internal/battery"
 	"medsec/internal/campaign"
 	"medsec/internal/design"
-	"medsec/internal/link"
 	"medsec/internal/obs"
 	"medsec/internal/protocol"
-	"medsec/internal/rng"
 )
 
 // RunOptions are the runtime knobs of one engine invocation — they
@@ -26,7 +25,8 @@ type RunOptions struct {
 	Shards int
 	// ShardIndex/ShardCount select a cross-process slice: this
 	// invocation simulates the ShardIndex-th of ShardCount contiguous
-	// device blocks (0/0 or 0/1 means the whole fleet).
+	// device blocks (0/0 or 0/1 means the whole fleet); Run refuses
+	// any other index outside [0, ShardCount).
 	ShardIndex, ShardCount int
 	// Metrics, Ctx, Progress follow campaign.ShardedConfig semantics.
 	Metrics  *obs.Registry
@@ -41,10 +41,19 @@ type RunOptions struct {
 }
 
 // deviceRange resolves the global device index range this invocation
-// owns.
-func (o RunOptions) deviceRange(total int) (lo, hi int) {
+// owns, refusing a shard selection that names no slice of the fleet: a
+// negative count, or an index outside [0, ShardCount) (ShardCount 0
+// meaning one slice, the whole fleet).
+func (o RunOptions) deviceRange(total int) (lo, hi int, err error) {
+	if o.ShardCount < 0 {
+		return 0, 0, fmt.Errorf("fleet: RunOptions.ShardCount %d is negative", o.ShardCount)
+	}
+	if n := max(o.ShardCount, 1); o.ShardIndex < 0 || o.ShardIndex >= n {
+		return 0, 0, fmt.Errorf("fleet: RunOptions.ShardIndex %d out of range [0, %d) for ShardCount %d",
+			o.ShardIndex, n, o.ShardCount)
+	}
 	if o.ShardCount <= 1 {
-		return 0, total
+		return 0, total, nil
 	}
 	block := (total + o.ShardCount - 1) / o.ShardCount
 	lo = o.ShardIndex * block
@@ -55,95 +64,60 @@ func (o RunOptions) deviceRange(total int) (lo, hi int) {
 	if lo > hi {
 		lo = hi
 	}
-	return lo, hi
+	return lo, hi, nil
 }
 
-// cohortNominal is a cohort's nominal energy/timing calibration: one
-// noise-free point multiplication measured on the cohort's design
-// point, priced once and reused for every device in the cohort (the
-// per-cohort analogue of designlab's evalPoint pricing).
-type cohortNominal struct {
-	pmEnergyJ float64
-	pmCycles  int
-}
-
-// nominals measures each cohort's point-mul cost once, serially, in
-// cohort order — a pure function of the config.
-func nominals(cfg Config, cache *design.Cache) ([]cohortNominal, error) {
-	out := make([]cohortNominal, len(cfg.Cohorts))
+// nominals measures each cohort's nominal point-mul cost once,
+// serially, in cohort order — a pure function of the config. One
+// noise-free point multiplication on the cohort's design point prices
+// the computation of every session of every device in the cohort.
+func nominals(cfg Config, cache *design.Cache) ([]design.Measurement, error) {
+	out := make([]design.Measurement, len(cfg.Cohorts))
 	for i, co := range cfg.Cohorts {
 		st, err := cache.Build(co.Point)
 		if err != nil {
 			return nil, err
 		}
 		key := st.DeviceKey(design.MixSeed(cfg.Seed, i, 7))
-		pm, err := st.MeasurePointMul(key, design.MixSeed(cfg.Seed, i, 8))
-		if err != nil {
+		if out[i], err = st.MeasurePointMul(key, design.MixSeed(cfg.Seed, i, 8)); err != nil {
 			return nil, err
 		}
-		out[i] = cohortNominal{pmEnergyJ: pm.EnergyJ, pmCycles: pm.Cycles}
 	}
 	return out, nil
 }
 
-// lab is one worker's pooled session state: a reusable link pair (the
-// wire binds its endpoints once — Pair.Reset keeps them stable), so
-// steady-state session setup performs zero link/wire allocations.
+// lab is one worker's pooled state: the pooled link session, and the
+// stack buffers the cache specializes into (BuildInto), so the
+// steady-state per-device path allocates neither a Stack nor a link.
 type lab struct {
 	cache *design.Cache
-	pair  *link.Pair
-	wire  *protocol.Wire
-	// stack and storm are the worker's reusable stack buffers: the
-	// cache specializes into them (BuildInto) so the steady-state
-	// per-device path never allocates a Stack.
+	sess  *design.Session
 	stack design.Stack
 	storm design.Stack
 }
 
-func newLab(cache *design.Cache) *lab {
-	p := link.NewLosslessPair()
-	return &lab{cache: cache, pair: p, wire: protocol.NewWire(p)}
-}
-
-// session runs one mutual-authentication session for a device over
-// the pooled pair and folds it into out. The parties persist across
-// the device's sessions (keys are generated once per device, as on a
-// real implant); only the channel is reborn per session.
-func (l *lab) session(st *design.Stack, nom cohortNominal, dev *protocol.Tag,
+// session runs one mutual-authentication session for a device on the
+// pooled link and folds its price into out. The parties persist
+// across the device's sessions (keys are generated once per device,
+// as on a real implant); only the channel is reborn per session.
+func (l *lab) session(st *design.Stack, pm design.Measurement, dev *protocol.Tag,
 	rdr *protocol.Reader, seed uint64, storm bool, out *deviceOutcome) error {
-	if err := l.pair.Reset(st.Channel, st.ARQ, seed); err != nil {
-		return err
-	}
-	res, err := protocol.RunMutualAuthSession(dev, rdr, protocol.SessionOptions{
-		Wire:        l.wire,
-		ServerFirst: true,
-	})
+	o, err := l.sess.Run(st, dev, rdr, seed)
 	if err != nil {
 		return err
 	}
-	stats := l.pair.A().Stats()
-	eJ := st.Radio.TxEnergy(stats.PhyTxBits(), st.Point.DistanceM) +
-		st.Radio.RxEnergy(stats.PhyRxBits()) +
-		float64(res.DeviceLedger.PointMuls)*nom.pmEnergyJ +
-		float64(res.DeviceLedger.ModMuls)*st.Costs.ModMulJ +
-		float64(res.DeviceLedger.AESBlocks)*st.Costs.AESBlockJ
+	eJ, latS := st.Price(o, pm)
 	out.energyPJ += int64(math.Round(eJ * 1e12))
-	out.retries += int64(stats.Retries)
+	out.retries += int64(o.Retries)
+	sessions, completed := &out.sessions, &out.completed
 	if storm {
-		out.stormSessions++
-	} else {
-		out.sessions++
+		sessions, completed = &out.stormSessions, &out.stormCompleted
 	}
-	if res.Completed {
-		if storm {
-			out.stormCompleted++
-		} else {
-			out.completed++
-		}
-		latS := float64(res.DeviceLedger.PointMuls)*float64(nom.pmCycles)/st.Point.ClockHz +
-			float64(stats.PhyTxBits()+stats.PhyRxBits())/design.DefaultBitrateBps
+	*sessions++
+	if o.Completed {
+		*completed++
 		out.latencyUS = append(out.latencyUS, int64(math.Round(latS*1e6)))
-	} else if res.AbortStage == protocol.StageLink {
+	} else if o.Stage == protocol.StageLink {
 		out.linkAborts++
 	} else {
 		out.otherAborts++
@@ -155,7 +129,7 @@ func (l *lab) session(st *design.Stack, nom cohortNominal, dev *protocol.Tag,
 // (cache hit for all but the first device of a build identity),
 // generate the device's keys once, run the duty-cycle sessions plus
 // the re-auth storm, then price the battery.
-func (l *lab) device(cfg Config, noms []cohortNominal, idx int) (deviceOutcome, error) {
+func (l *lab) device(cfg Config, noms []design.Measurement, idx int) (deviceOutcome, error) {
 	dp := cfg.deviceParams(idx)
 	if err := l.cache.BuildInto(&l.stack, dp.point); err != nil {
 		return deviceOutcome{}, err
@@ -164,17 +138,10 @@ func (l *lab) device(cfg Config, noms []cohortNominal, idx int) (deviceOutcome, 
 	out := deviceOutcome{cohort: dp.cohort}
 	nom := noms[dp.cohort]
 
-	src := rng.NewDRBG(design.MixSeed(cfg.Seed, idx, streamParties)).Uint64
-	mul := &protocol.SoftwareMultiplier{Curve: st.Curve, Rand: src}
-	rdr, err := protocol.NewReader(st.Curve, mul, src)
+	dev, rdr, err := st.Parties(design.MixSeed(cfg.Seed, idx, streamParties))
 	if err != nil {
 		return deviceOutcome{}, err
 	}
-	dev, err := protocol.NewTag(st.Curve, mul, src, rdr.Pub)
-	if err != nil {
-		return deviceOutcome{}, err
-	}
-	rdr.Register(dev.Pub)
 
 	for rep := 0; rep < cfg.SessionsPerDevice; rep++ {
 		seed := design.MixSeed(cfg.Seed, idx, streamSession+rep)
@@ -233,17 +200,20 @@ func Run(cfg Config, opt RunOptions) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	lo, hi, err := opt.deviceRange(cfg.TotalDevices())
+	if err != nil {
+		return nil, err
+	}
 	cache := design.NewCache()
 	noms, err := nominals(cfg, cache)
 	if err != nil {
 		return nil, err
 	}
-	lo, hi := opt.deviceRange(cfg.TotalDevices())
 
 	workers := campaign.Workers(opt.Workers)
 	labs := make([]*lab, workers)
 	for w := range labs {
-		labs[w] = newLab(cache)
+		labs[w] = &lab{cache: cache, sess: design.NewSession(nil)}
 	}
 
 	lay := campaign.ShardingFor(lo, hi, opt.Shards)

@@ -129,6 +129,31 @@ func TestShardRangesAndCoverage(t *testing.T) {
 	}
 }
 
+// TestRunRefusesBadShardSelection: the library call must refuse what
+// fleetlab's -shard parser refuses, naming the field, instead of
+// simulating nonexistent devices, returning an empty range, or
+// silently running the whole fleet.
+func TestRunRefusesBadShardSelection(t *testing.T) {
+	for _, tc := range []struct {
+		index, count int
+		field        string
+	}{
+		{-1, 2, "ShardIndex"},
+		{5, 2, "ShardIndex"},
+		{3, 0, "ShardIndex"},
+		{0, -1, "ShardCount"},
+	} {
+		rep, err := Run(testFleet(8), RunOptions{Workers: 1, ShardIndex: tc.index, ShardCount: tc.count})
+		if err == nil {
+			t.Errorf("shard %d/%d: ran devices [%d, %d), want an error", tc.index, tc.count, rep.From, rep.To)
+			continue
+		}
+		if !strings.Contains(err.Error(), "RunOptions."+tc.field) {
+			t.Errorf("shard %d/%d: error %q does not name %s", tc.index, tc.count, err, tc.field)
+		}
+	}
+}
+
 // TestMergeRefusalsNameFileAndField pins the diagnostics of every
 // MergeShards refusal: each error must name the offending shard
 // file(s), the device interval in dispute, and — for config drift —

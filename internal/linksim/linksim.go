@@ -54,7 +54,7 @@ type GridConfig struct {
 	// Metrics, when non-nil, receives sweep instrumentation: counters
 	// linksim_sessions / linksim_completed / linksim_aborts, the
 	// link_* ARQ counters aggregated across every simulated session
-	// (each per-session Pair is Instrumented with this registry), and
+	// (each worker's pooled design.Session reports to it), and
 	// the campaign_* engine instruments. The nil default costs
 	// nothing and the sweep results are bit-identical either way.
 	Metrics *obs.Registry
@@ -133,18 +133,25 @@ func Run(cfg GridConfig) (*GridReport, error) {
 			AbortsByStage: map[string]int{},
 		}
 	}
-	model := stacks[0].Radio
-	costs := stacks[0].Costs
+	sessions := make([]*design.Session, campaign.Workers(cfg.Workers))
+	for w := range sessions {
+		sessions[w] = design.NewSession(cfg.Metrics)
+	}
 
 	prepare := func(idx int) (job, error) {
 		return job{cell: idx / cfg.Reps, rep: idx % cfg.Reps}, nil
 	}
 	acquire := func(worker, idx int, j job) (design.SessionOutcome, error) {
-		// One fresh pair + party set per session, a pure function of
-		// (seed, cell, rep); the sweep registry aggregates the ARQ
-		// counters of every session (atomic adds commute, so the
-		// totals are deterministic for any worker count).
-		return stacks[j.cell].RunAuthSession(design.MixSeed(cfg.Seed, j.cell, j.rep), cfg.Metrics)
+		// Fresh parties on the worker's re-armed link: a pure function
+		// of (seed, cell, rep). The registry's ARQ counters are atomic
+		// adds, so their totals are the same for any worker count.
+		st := stacks[j.cell]
+		seed := design.MixSeed(cfg.Seed, j.cell, j.rep)
+		dev, rdr, err := st.Parties(seed ^ 0xC0FFEE)
+		if err != nil {
+			return design.SessionOutcome{}, err
+		}
+		return sessions[worker].Run(st, dev, rdr, seed)
 	}
 	mSessions := cfg.Metrics.Counter("linksim_sessions")
 	mCompleted := cfg.Metrics.Counter("linksim_completed")
@@ -161,13 +168,12 @@ func Run(cfg GridConfig) (*GridReport, error) {
 			mAborts.Inc()
 		}
 		retries[j.cell] = append(retries[j.cell], out.Retries)
-		c.MeanLedgerJ += model.LedgerEnergy(out.Ledger, c.Distance, costs)
+		st := stacks[j.cell]
+		c.MeanLedgerJ += st.Radio.LedgerEnergy(out.Ledger, c.Distance, st.Costs)
 		// Physical cost: every bit the device radio moved (payload +
 		// framing + ACKs) plus the same computation.
-		c.MeanPhyJ += model.TxEnergy(out.PhyTxBits, c.Distance) + model.RxEnergy(out.PhyRxBits) +
-			float64(out.Ledger.PointMuls)*costs.PointMulJ +
-			float64(out.Ledger.ModMuls)*costs.ModMulJ +
-			float64(out.Ledger.AESBlocks)*costs.AESBlockJ
+		phyJ, _ := st.Price(out, design.Measurement{EnergyJ: st.Costs.PointMulJ})
+		c.MeanPhyJ += phyJ
 		if cfg.Progress != nil {
 			cfg.Progress(idx+1, total)
 		}
